@@ -2,9 +2,8 @@
 
 Every benchmark artifact goes through :func:`write_bench_json`, which
 stamps the result with ``schema_version``, ``commit`` and ``timestamp``
-so a BENCH file (and every history entry the matrix harness copies out
-of one) is self-describing: you can always answer "which code produced
-this number, and when".
+so a BENCH file is self-describing: you can always answer "which code
+produced this number, and when".
 """
 
 from __future__ import annotations
@@ -112,9 +111,7 @@ def bench_stamp() -> Dict[str, object]:
 def write_bench_json(result: Dict[str, object], path: str) -> None:
     """Write ``result`` as a stamped, sorted, indented JSON artifact.
 
-    The stamp never overwrites fields the benchmark set itself (the
-    matrix harness stamps once and fans the same identity out to its
-    history entries).
+    The stamp never overwrites fields the benchmark set itself.
     """
     stamped = dict(bench_stamp())
     stamped.update(result)

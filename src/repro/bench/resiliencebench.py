@@ -2,10 +2,11 @@
 
 Two studies:
 
-1. **Steady-state overhead.** The same hot-context ingestion workload as
-   ``serve-bench`` (lane-chain graph, Zipf-shaped popularity) runs
-   through a plain :class:`~repro.service.ContextService` and through
-   one with the full resilience stack armed — supervisor heartbeats,
+1. **Steady-state overhead.** A hot-context ingestion workload
+   (:func:`~repro.workloads.synthetic.lane_chain_workload`: lane-chain
+   graph, Zipf-shaped popularity) runs through a plain
+   :class:`~repro.service.ContextService` and through one with the
+   full resilience stack armed — supervisor heartbeats,
    circuit breaker on every decode, retry bookkeeping — but *no faults
    injected*. The acceptance bar is <= 5% throughput overhead: paying
    for crash-safety must not cost the paper's "decode off the hot path"
@@ -24,7 +25,7 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.bench.reporting import (
     Column,
@@ -32,7 +33,7 @@ from repro.bench.reporting import (
     sci,
     write_bench_json,
 )
-from repro.bench.servebench import build_workload, _stream
+from repro.workloads.synthetic import lane_chain_workload, zipf_stream
 from repro.resilience import ResilienceConfig
 from repro.resilience.checkpoint import (
     CheckpointState,
@@ -46,7 +47,6 @@ __all__ = [
     "recovery_study",
     "resilience_bench",
     "render_resilience_bench",
-    "run",
     "write_bench_json",
 ]
 
@@ -106,10 +106,10 @@ def overhead_study(
     noise). No faults are injected, so every sample must aggregate in
     both configurations.
     """
-    _graph, plan, observations, weights = build_workload(
+    _graph, plan, observations, weights = lane_chain_workload(
         depth=24, contexts=200, seed=seed
     )
-    stream = _stream(observations, weights, samples, seed)
+    stream = zipf_stream(observations, weights, samples, seed)
     resilient_cfg = ResilienceConfig(seed=seed)
 
     runs: Dict[str, List[Dict[str, object]]] = {"plain": [], "resilient": []}
@@ -153,7 +153,7 @@ def recovery_study(
     sizes: Tuple[int, ...] = DEFAULT_SIZES, seed: int = 1
 ) -> List[Dict[str, object]]:
     """Checkpoint-write and recover latency across context-tree sizes."""
-    _graph, plan, _observations, _weights = build_workload(
+    _graph, plan, _observations, _weights = lane_chain_workload(
         depth=12, contexts=8, seed=seed
     )
     results: List[Dict[str, object]] = []
@@ -211,43 +211,6 @@ def resilience_bench(
         "workload": {"samples": samples, "sizes": list(sizes), "seed": seed},
         "overhead": overhead_study(samples=samples, seed=seed),
         "recovery": recovery_study(sizes=tuple(sizes), seed=seed),
-    }
-
-
-# ----------------------------------------------------------------------
-# Matrix entry point
-# ----------------------------------------------------------------------
-def run(config: Mapping[str, object]) -> Dict[str, object]:
-    """One ``bench-matrix`` cell: steady-state resilience overhead and
-    recovery throughput under ``config`` (honours ``quick`` and
-    ``seed``; the studies fix their own service shape so plain-vs-armed
-    stays an apples-to-apples pair).
-
-    Gated metric: the steady-state overhead percentage — the "paying
-    for crash-safety must stay under 5%" bar, now watched per commit.
-    """
-    quick = bool(config.get("quick", True))
-    seed = int(config.get("seed", 1))
-    samples = SMOKE_SAMPLES if quick else DEFAULT_SAMPLES
-    sizes = SMOKE_SIZES if quick else DEFAULT_SIZES
-    overhead = overhead_study(samples=samples, seed=seed)
-    recovery = recovery_study(sizes=sizes, seed=seed)
-    largest = recovery[-1]
-    metrics = {
-        "overhead_pct": overhead["overhead_pct"],
-        "within_target": overhead["within_target"],
-        "plain_per_s": overhead["plain"]["per_s"],
-        "resilient_per_s": overhead["resilient"]["per_s"],
-        "recover_contexts_per_s": largest["contexts_per_s"],
-        "recover_ms": largest["recover_ms"],
-    }
-    return {
-        "target": "resilience",
-        "metrics": metrics,
-        "gated": {
-            "resilience_overhead_pct": overhead["overhead_pct"],
-            "recover_contexts_per_s": largest["contexts_per_s"],
-        },
     }
 
 

@@ -11,18 +11,12 @@ Usage::
     python -m repro scaling [--benchmark crypto.rsa]
     python -m repro incremental [--sizes 64 256 1024]
     python -m repro serve [--workers N] [--port P] [--duration SECONDS]
-    python -m repro serve-bench [--quick] [--json BENCH_serve.json]
     python -m repro obs [--format prometheus|json]
-    python -m repro obs-bench [--smoke] [--json BENCH_obs.json]
     python -m repro check [--iterations 500] [--seed 0] [--corpus DIR]
     python -m repro chaos [--iterations 25] [--seed 5] [--json PATH]
     python -m repro query --dir segments/ [--window LO:HI] [--flame PATH]
     python -m repro query --dir segments/ --compact [--retain-age SECONDS]
-    python -m repro query-bench [--smoke] [--json BENCH_query.json]
     python -m repro resilience-bench [--smoke] [--json PATH]
-    python -m repro bench-matrix [--configs all] [--targets all]
-        [--quick] [--jobs N] [--baseline BENCH_matrix.json]
-        [--json BENCH_matrix.json]
     python -m repro decode-demo
     python -m repro list
 
@@ -47,7 +41,7 @@ from typing import List, Optional, Tuple
 from repro import obs
 from repro.workloads.specjvm import benchmark_names
 
-__all__ = ["main", "build_parser", "COMMANDS"]
+__all__ = ["main", "build_parser", "COMMANDS", "trace_layers_demo"]
 
 #: (name, one-line description) for every subcommand, in display order.
 #: The single source of truth: the parser, the ``--help`` epilog and the
@@ -86,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "DeltaPath (CGO 2014) reproduction: regenerate the paper's "
             "tables and figures on synthetic SPECjvm-shaped benchmarks, "
-            "and benchmark the repro.service collection backend."
+            "and run the repro.service collection backend."
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -170,28 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     psv.add_argument("--contexts", type=int, default=64)
     psv.add_argument("--seed", type=int, default=1)
 
-    pv = _command(
-        sub,
-        "serve-bench",
-        "repro.service throughput: cached decode + ingestion under hot swap",
-    )
-    pv.add_argument(
-        "--quick", action="store_true",
-        help="small sample counts (CI smoke size)",
-    )
-    pv.add_argument("--depth", type=int, default=None)
-    pv.add_argument("--contexts", type=int, default=None)
-    pv.add_argument("--samples", type=int, default=None)
-    pv.add_argument("--shards", type=int, default=8)
-    pv.add_argument("--workers", type=int, default=2)
-    pv.add_argument("--producers", type=int, default=3)
-    pv.add_argument("--seed", type=int, default=1)
-    pv.add_argument("--top", type=int, default=5)
-    pv.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the full result as JSON (BENCH_*.json artifact)",
-    )
-
     pob = _command(
         sub,
         "obs",
@@ -204,24 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     pob.add_argument(
         "--no-demo", action="store_true",
         help="print the registry as-is, without the demo workload",
-    )
-
-    pb = _command(
-        sub,
-        "obs-bench",
-        "observability overhead: probe hot loop + trace layer coverage",
-    )
-    pb.add_argument(
-        "--smoke", action="store_true",
-        help="tiny iteration counts (CI smoke size)",
-    )
-    pb.add_argument("--depth", type=int, default=None)
-    pb.add_argument("--iterations", type=int, default=None)
-    pb.add_argument("--repeats", type=int, default=None)
-    pb.add_argument("--sample-rate", type=int, default=64)
-    pb.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the full result as JSON (BENCH_obs.json artifact)",
     )
 
     pc = _command(
@@ -359,23 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the answer as JSON instead of a table",
     )
 
-    pqb = _command(
-        sub,
-        "query-bench",
-        "segment write + windowed top-K throughput (BENCH_query.json)",
-    )
-    pqb.add_argument(
-        "--smoke", action="store_true",
-        help="tiny store (CI smoke size)",
-    )
-    pqb.add_argument("--contexts", type=int, default=None)
-    pqb.add_argument("--segments", type=int, default=None)
-    pqb.add_argument("--seed", type=int, default=1)
-    pqb.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the full result as JSON (BENCH_query.json)",
-    )
-
     prb = _command(
         sub,
         "resilience-bench",
@@ -390,47 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     prb.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write the full result as JSON (BENCH_resilience.json)",
-    )
-
-    pm = _command(
-        sub,
-        "bench-matrix",
-        "configs x targets benchmark matrix with a regression gate",
-    )
-    pm.add_argument(
-        "--configs", nargs="*", default=None, metavar="NAME",
-        help="configurations to run ('all' or omit for every one)",
-    )
-    pm.add_argument(
-        "--targets", nargs="*", default=None, metavar="NAME",
-        help="bench targets to run ('all' or omit for every one)",
-    )
-    pm.add_argument(
-        "--quick", action="store_true",
-        help="smoke-size workloads per cell (CI size)",
-    )
-    pm.add_argument(
-        "--jobs", type=int, default=1,
-        help="run cells in a thread pool of this size (default: 1; "
-             "parallel runs blur absolute throughput numbers)",
-    )
-    pm.add_argument("--seed", type=int, default=1)
-    pm.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="gate against this committed BENCH_matrix.json "
-             "(default: the --json path when it already exists)",
-    )
-    pm.add_argument(
-        "--gate-tolerance", type=float, default=None,
-        help="relative regression tolerance (default: 0.10 = 10%%)",
-    )
-    pm.add_argument(
-        "--no-gate", action="store_true",
-        help="run and write the artifact without diffing a baseline",
-    )
-    pm.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the merged matrix artifact (BENCH_matrix.json)",
     )
 
     _command(sub, "list", "list available benchmarks")
@@ -583,35 +479,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "serve":
         return _run_serve(args)
 
-    if args.command == "serve-bench":
-        from repro.bench.servebench import (
-            DEFAULT_DEPTH,
-            render_serve_bench,
-            serve_bench,
-            write_bench_json,
-        )
-
-        result = serve_bench(
-            quick=args.quick,
-            depth=args.depth if args.depth else DEFAULT_DEPTH,
-            contexts=args.contexts,
-            samples=args.samples,
-            shards=args.shards,
-            workers=args.workers,
-            producers=args.producers,
-            seed=args.seed,
-            top=args.top,
-        )
-        print(render_serve_bench(result))
-        if args.json:
-            write_bench_json(result, args.json)
-            print(f"\nwrote {args.json}")
-        return 0
-
     if args.command == "obs":
         if not args.no_demo:
-            from repro.bench.obsbench import trace_layers_demo
-
             info = trace_layers_demo()
             print(
                 f"demo: traced {info['events']} events across layers: "
@@ -622,32 +491,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(json.dumps(obs.flatten(), indent=2, sort_keys=True))
         else:
             print(obs.expose_prometheus(), end="")
-        return 0
-
-    if args.command == "obs-bench":
-        from repro.bench.obsbench import (
-            obs_bench,
-            render_obs_bench,
-            write_bench_json,
-        )
-
-        result = obs_bench(
-            smoke=args.smoke,
-            **{
-                key: value
-                for key, value in (
-                    ("depth", args.depth),
-                    ("iterations", args.iterations),
-                    ("repeats", args.repeats),
-                    ("sample_rate", args.sample_rate),
-                )
-                if value is not None
-            },
-        )
-        print(render_obs_bench(result))
-        if args.json:
-            write_bench_json(result, args.json)
-            print(f"\nwrote {args.json}")
         return 0
 
     if args.command == "check":
@@ -692,25 +535,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "query":
         return _run_query(args)
 
-    if args.command == "query-bench":
-        from repro.bench.querybench import (
-            query_bench,
-            render_query_bench,
-            write_bench_json,
-        )
-
-        result = query_bench(
-            smoke=args.smoke,
-            contexts=args.contexts,
-            segments=args.segments,
-            seed=args.seed,
-        )
-        print(render_query_bench(result))
-        if args.json:
-            write_bench_json(result, args.json)
-            print(f"\nwrote {args.json}")
-        return 0
-
     if args.command == "resilience-bench":
         from repro.bench.resiliencebench import (
             render_resilience_bench,
@@ -727,9 +551,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"\nwrote {args.json}")
         return 0
 
-    if args.command == "bench-matrix":
-        return _run_bench_matrix(args)
-
     if args.command == "decode-demo":
         _decode_demo()
         return 0
@@ -741,11 +562,11 @@ def _run_serve(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: a live service over a demo workload."""
     import time as _time
 
-    from repro.bench.servebench import _stream, build_workload
     from repro.resilience import ResilienceConfig
     from repro.service import ContextService, SampleBatch, ServiceConfig
+    from repro.workloads.synthetic import lane_chain_workload, zipf_stream
 
-    _graph, plan, observations, weights = build_workload(
+    _graph, plan, observations, weights = lane_chain_workload(
         depth=args.depth, contexts=args.contexts, seed=args.seed
     )
     service = ContextService(
@@ -781,7 +602,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     try:
         while deadline is None or _time.monotonic() < deadline:
             if chunk:
-                pairs = _stream(
+                pairs = zipf_stream(
                     observations, weights, chunk, args.seed + tick
                 )
                 service.submit_batch(
@@ -805,69 +626,62 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_bench_matrix(args: argparse.Namespace) -> int:
-    """The ``bench-matrix`` subcommand: run the cells, gate, write."""
-    import os
+def trace_layers_demo() -> dict:
+    """The ``obs`` demo: one traced lifecycle touching every layer.
 
-    from repro.bench.matrix import (
-        DEFAULT_TOLERANCE,
-        MatrixError,
-        diff_against_baseline,
-        load_baseline,
-        render_matrix,
-        run_matrix,
-        write_matrix_json,
-    )
+    Build a plan (``plan.*``/``encode.*`` spans), apply a class-loading
+    delta to it (``plan.apply_delta``), hot-swap a live probe
+    (``probe.hot_swap``), walk into the loaded class and ingest the
+    snapshot through the service (``service.batch``). Runs with the
+    default tracer forced on; the previous enabled state is restored.
+    """
+    from repro.analysis.incremental import GraphDelta
+    from repro.core.widths import Width
+    from repro.graph.callgraph import CallGraph
+    from repro.runtime.agent import DeltaPathProbe
+    from repro.runtime.plan import build_plan_from_graph
+    from repro.service import ContextService, SampleBatch
 
+    tracer = obs.get_tracer()
+    prev = tracer.enabled
+    before = len(tracer)
+    tracer.enabled = True
     try:
-        result = run_matrix(
-            args.configs,
-            args.targets,
-            quick=args.quick,
-            seed=args.seed,
-            jobs=max(1, args.jobs),
-            log=print,
-        )
-    except MatrixError as exc:
-        sys.exit(f"bench-matrix: {exc}")
+        graph = CallGraph("main")
+        path = []
+        for d in range(6):
+            caller = path[-1][2] if path else "main"
+            graph.add_edge(caller, f"w{d}", f"c{d}")
+            path.append((caller, f"c{d}", f"w{d}"))
+        plan = build_plan_from_graph(graph, width=Width(32))
+        mid = path[2][2]
+        edge = graph.copy().add_edge(mid, "plugin.m", "load")
+        delta = GraphDelta(added_nodes={"plugin.m": {}}, added_edges=(edge,))
+        update = plan.apply_delta(delta)
 
-    print()
-    print(render_matrix(result))
+        probe = DeltaPathProbe(plan, cpt=True)
+        probe.begin_execution("main")
+        probe.enter_function("main")
+        for caller, label, callee in path[:3]:
+            probe.before_call(caller, label, callee)
+            probe.enter_function(callee)
+        probe.hot_swap(update, mid)
+        probe.before_call(mid, "load", "plugin.m")
+        probe.enter_function("plugin.m")
+        snapshot = probe.snapshot("plugin.m")
 
-    # The committed artifact doubles as the baseline: gating against
-    # the --json path (when it already exists) is the default, so CI
-    # needs no extra flag to compare against what is in the tree.
-    baseline = None
-    baseline_path = args.baseline
-    if baseline_path is None and args.json and os.path.exists(args.json):
-        baseline_path = args.json
-    if baseline_path is not None and not args.no_gate:
-        try:
-            baseline = load_baseline(baseline_path)
-        except MatrixError as exc:
-            sys.exit(f"bench-matrix: {exc}")
-
-    status = 0
-    if baseline is not None:
-        tolerance = (
-            args.gate_tolerance
-            if args.gate_tolerance is not None
-            else DEFAULT_TOLERANCE
-        )
-        report = diff_against_baseline(
-            result["gated"], baseline["gated"], tolerance=tolerance
-        )
-        print()
-        print(f"gate vs {baseline_path} (commit "
-              f"{baseline.get('commit', 'unknown')}):")
-        print(report.summary())
-        if not report.ok:
-            status = 1
-
-    if args.json:
-        write_matrix_json(result, args.json, baseline)
-        print(f"\nwrote {args.json}")
-    return status
+        with ContextService(update.plan, workers=1, shards=2) as service:
+            service.submit_batch(SampleBatch.from_observations(
+                [("plugin.m", snapshot)], epoch=service.epoch
+            ))
+            service.flush()
+    finally:
+        tracer.enabled = prev
+    return {
+        "events": len(tracer) - before,
+        "layers": sorted(tracer.layers()),
+        "spans": sorted(tracer.span_names()),
+    }
 
 
 def _parse_window(spec: str) -> Tuple[float, float]:

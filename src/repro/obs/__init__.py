@@ -35,9 +35,10 @@ Quickstart::
     obs.get_tracer().write_chrome("trace.json")
 
 CLI: every subcommand takes ``--metrics-out``/``--trace-out``;
-``python -m repro obs`` prints the registry after a demo workload and
-``python -m repro obs-bench`` measures the instrumentation overhead
-itself (see ``docs/OBSERVABILITY.md``).
+``python -m repro obs`` prints the registry after a demo workload;
+``perfbench/``'s traced run reports per-layer timings and
+``perfbench/report.py`` the tracing overhead itself (see
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations

@@ -68,7 +68,7 @@ from repro.query.segment import (
     segment_name,
     write_segment,
 )
-from repro.resilience.checkpoint import (
+from repro.recordio import (
     delta_decode_path,
     delta_encode_rows,
     fsync_dir,

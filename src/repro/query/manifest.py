@@ -55,7 +55,7 @@ from repro.query.segment import (
     sequence_of,
     write_segment,
 )
-from repro.resilience.checkpoint import (
+from repro.recordio import (
     fsync_dir,
     parse_record_line,
     record_line,

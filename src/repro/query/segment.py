@@ -7,9 +7,9 @@ once written they are never modified, so any query answer computed
 over a set of segments is reproducible forever (the property the
 chaos harness asserts across crash/recovery).
 
-File format — line-oriented checksummed records, one per line, exactly
-the PR 5 checkpoint discipline (the helpers are imported from
-:mod:`repro.resilience.checkpoint` so the formats cannot drift):
+File format — line-oriented checksummed records, one per line, the
+same codec checkpoints use (both import it from :mod:`repro.recordio`
+so the formats cannot drift):
 
     ``<crc32 of payload, 8 hex chars> <payload JSON>``
 
@@ -60,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import QueryError
-from repro.resilience.checkpoint import (
+from repro.recordio import (
     delta_decode_path,
     delta_encode_rows,
     fsync_dir,

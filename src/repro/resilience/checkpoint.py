@@ -10,6 +10,9 @@ File format (``ckpt-<seq>.dpck``): line-oriented records, each line
 
     ``<crc32 of payload, 8 hex chars> <payload JSON>``
 
+(the codec — records, packed sections, prefix-trie path encoding — is
+:mod:`repro.recordio`, shared with the ``repro.query`` segment store).
+
 Format **version 2** (the current writer) mirrors the in-memory
 :class:`~repro.service.store.ContextStore`: instead of repeating every
 context path as a list of strings, the file carries
@@ -50,31 +53,30 @@ Metrics: ``resilience.checkpoints``, ``resilience.checkpoint_failures``,
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
 import os
 import threading
 import time
-import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import CheckpointError, QueryError
+from repro.recordio import (
+    delta_decode_path,
+    delta_encode_rows,
+    fsync_dir,
+    pack_section,
+    parse_record_line,
+    record_line,
+    unpack_section,
+)
 
 __all__ = [
     "CheckpointState",
     "CheckpointStore",
     "CheckpointDaemon",
     "plan_fingerprint",
-    "record_line",
-    "parse_record_line",
-    "pack_section",
-    "unpack_section",
-    "delta_encode_rows",
-    "delta_decode_path",
-    "fsync_dir",
 ]
 
 FORMAT_VERSION = 2
@@ -147,132 +149,6 @@ class CheckpointState:
         return sum(row[1] for row in self.rows)
 
 
-def _record(payload: dict) -> str:
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return f"{zlib.crc32(body.encode()) & 0xFFFFFFFF:08x} {body}\n"
-
-
-def _parse_record(line: str) -> Optional[dict]:
-    """Decode one checksummed line; None when torn or corrupt."""
-    if not line.endswith("\n"):
-        return None  # torn final line: the write was interrupted
-    if len(line) < 10 or line[8] != " ":
-        return None
-    try:
-        want = int(line[:8], 16)
-    except ValueError:
-        return None
-    body = line[9:-1]
-    if zlib.crc32(body.encode()) & 0xFFFFFFFF != want:
-        return None
-    try:
-        payload = json.loads(body)
-    except ValueError:
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def _pack_section(obj) -> Dict[str, object]:
-    """JSON → zlib → base64, with an inner CRC32 over the raw JSON."""
-    raw = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    return {
-        "crc": zlib.crc32(raw) & 0xFFFFFFFF,
-        "data": base64.b64encode(zlib.compress(raw, 6)).decode("ascii"),
-    }
-
-
-def _unpack_section(payload: Dict[str, object]):
-    """Inverse of :func:`_pack_section`; None on any corruption."""
-    try:
-        raw = zlib.decompress(base64.b64decode(payload["data"]))
-    except (KeyError, TypeError, ValueError, zlib.error):
-        return None
-    if zlib.crc32(raw) & 0xFFFFFFFF != payload.get("crc"):
-        return None
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-
-
-def _delta_encode_rows(rows):
-    """Collapse row paths into (names, flat trie nodes, per-row pids).
-
-    The same prefix-trie delta encoding the live
-    :class:`~repro.service.store.ContextStore` uses: each trie node is a
-    ``(parent, name_id)`` pair (root = -1), a path is the id of its leaf
-    node, and shared prefixes are stored exactly once.
-    """
-    names: List[str] = []
-    name_ids: Dict[str, int] = {}
-    nodes_flat: List[int] = []
-    children: Dict[Tuple[int, int], int] = {}
-    pids: List[int] = []
-    for row in rows:
-        node = -1
-        for name in row[0]:
-            nid = name_ids.get(name)
-            if nid is None:
-                nid = len(names)
-                names.append(name)
-                name_ids[name] = nid
-            child = children.get((node, nid))
-            if child is None:
-                child = len(nodes_flat) // 2
-                nodes_flat.append(node)
-                nodes_flat.append(nid)
-                children[(node, nid)] = child
-            node = child
-        pids.append(node)
-    return names, nodes_flat, pids
-
-
-def _delta_decode_path(pid, nodes_flat, names):
-    """Resolve one pid against the decoded sections; None when invalid."""
-    count = len(nodes_flat) // 2
-    out: List[str] = []
-    node = pid
-    while node != -1:
-        if not isinstance(node, int) or not 0 <= node < count:
-            return None
-        parent = nodes_flat[2 * node]
-        name_id = nodes_flat[2 * node + 1]
-        if not isinstance(name_id, int) or not 0 <= name_id < len(names):
-            return None
-        if len(out) > count:  # a cycle cannot happen in a valid file
-            return None
-        out.append(names[name_id])
-        node = parent
-    out.reverse()
-    return tuple(out)
-
-
-def fsync_dir(directory: str) -> None:
-    """Best-effort fsync of a directory (durability of a rename)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform dependent
-        pass
-    finally:
-        os.close(fd)
-
-
-# Public names for the durability building blocks. The ``repro.query``
-# segment store reuses exactly this discipline (checksummed line
-# records, packed sections, prefix-trie path delta encoding) for its
-# ``seg-*.dpqs`` files, so the two on-disk formats cannot drift apart.
-record_line = _record
-parse_record_line = _parse_record
-pack_section = _pack_section
-unpack_section = _unpack_section
-delta_encode_rows = _delta_encode_rows
-delta_decode_path = _delta_decode_path
-
-
 class CheckpointStore:
     """Atomic, checksummed snapshots in one directory."""
 
@@ -336,7 +212,7 @@ class CheckpointStore:
             records = 0
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(_record({
+                    fh.write(record_line({
                         "kind": "header",
                         "version": FORMAT_VERSION,
                         "epoch": state.epoch,
@@ -347,19 +223,19 @@ class CheckpointStore:
                     if fault is not None:
                         fault(records)
                     rows = list(state.rows)
-                    names, nodes_flat, pids = _delta_encode_rows(rows)
+                    names, nodes_flat, pids = delta_encode_rows(rows)
                     for kind, section in (
                         ("names", names), ("nodes", nodes_flat)
                     ):
                         payload = {"kind": kind}
-                        payload.update(_pack_section(section))
-                        fh.write(_record(payload))
+                        payload.update(pack_section(section))
+                        fh.write(record_line(payload))
                         records += 1
                         if fault is not None:
                             fault(records)
                     for lo in range(0, len(rows), self.rows_per_record):
                         chunk = rows[lo:lo + self.rows_per_record]
-                        fh.write(_record({
+                        fh.write(record_line({
                             "kind": "rows",
                             "rows": [
                                 [pids[lo + i], row[1], row[2], row[3]]
@@ -369,7 +245,7 @@ class CheckpointStore:
                         records += 1
                         if fault is not None:
                             fault(records)
-                    fh.write(_record({
+                    fh.write(record_line({
                         "kind": "footer",
                         "records": records + 1,
                         "rows": len(rows),
@@ -413,7 +289,7 @@ class CheckpointStore:
             return None
         if not lines:
             return None
-        header = _parse_record(lines[0])
+        header = parse_record_line(lines[0])
         if header is None or header.get("kind") != "header":
             return None
         version = header.get("version")
@@ -427,7 +303,7 @@ class CheckpointStore:
         nodes_flat: Optional[list] = None
         footer = None
         for line in lines[1:]:
-            payload = _parse_record(line)
+            payload = parse_record_line(line)
             if payload is None:
                 return None
             if footer is not None:
@@ -448,13 +324,13 @@ class CheckpointStore:
                 except (KeyError, TypeError, ValueError):
                     return None
             elif kind == "names" and version >= 2:
-                names = _unpack_section(payload)
+                names = unpack_section(payload)
                 if not isinstance(names, list) or not all(
                     isinstance(n, str) for n in names
                 ):
                     return None
             elif kind == "nodes" and version >= 2:
-                nodes_flat = _unpack_section(payload)
+                nodes_flat = unpack_section(payload)
                 if (
                     not isinstance(nodes_flat, list)
                     or len(nodes_flat) % 2
@@ -476,7 +352,7 @@ class CheckpointStore:
                 return None  # a section never made it to disk
             rows = []
             for pid, count, gaps, epoch in compact_rows:
-                path = _delta_decode_path(pid, nodes_flat, names)
+                path = delta_decode_path(pid, nodes_flat, names)
                 if path is None:
                     return None  # dangling pid: corrupt sections
                 rows.append((path, count, gaps, epoch))

@@ -27,7 +27,7 @@ everything that happens to the collected integers afterwards:
   deprecated shims. Also exported from :mod:`repro.api` / the package
   root.
 
-Benchmark with ``python -m repro serve-bench``.
+Benchmarked end to end by ``perfbench/`` (``python3 perfbench/report.py``).
 """
 
 from repro.service.batch import SampleBatch

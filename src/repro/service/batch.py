@@ -1,8 +1,9 @@
 """`SampleBatch`: the columnar, batch-first ingestion value type.
 
 The decode hot path used to be per-sample Python objects and dict
-lookups; BENCH_serve shows a ~99.7% context hit rate, so most of that
-work is redundant.  A :class:`SampleBatch` packs many observations into
+lookups; on a Zipf-hot stream (perfbench's ``ingest-hot`` workload)
+~99% of decodes hit the context cache, so most of that work is
+redundant.  A :class:`SampleBatch` packs many observations into
 ``array``-backed *columns* plus two small interning tables, so the
 per-sample cost of submission, queueing, and grouping is integer array
 appends — and the service can collapse a whole batch into a counting

@@ -1691,7 +1691,7 @@ class ContextService:
         (``service.submitted``, ``service.decode_latency_us.p99_us``,
         ...) that the process-wide exporters (``repro obs``,
         ``--metrics-out``, Prometheus) publish — one metric namespace
-        shared by ``BENCH_serve.json`` and ``BENCH_obs.json``.
+        for service statistics and every export.
         """
         out = self.service_metrics()
         registry = self.metrics.registry

@@ -23,7 +23,10 @@ from repro.workloads.synthetic import (
     ComponentSpec,
     add_cascade,
     add_component,
+    lane_chain,
+    lane_chain_workload,
     random_callgraph,
+    zipf_stream,
 )
 
 __all__ = [
@@ -46,5 +49,8 @@ __all__ = [
     "figure7_full_graph",
     "figure7_jdk_nodes",
     "figure7_program",
+    "lane_chain",
+    "lane_chain_workload",
     "random_callgraph",
+    "zipf_stream",
 ]

@@ -1,6 +1,6 @@
 """Parametric random call-graph and program generators.
 
-Two consumers:
+Three consumers:
 
 * property-based tests drive the encoders with :func:`random_callgraph`
   (arbitrary DAG-ish multigraphs with virtual sites and optional cycles);
@@ -8,7 +8,11 @@ Two consumers:
   programs from the building blocks here — layered components, virtual
   dispatch clusters, and *diamond cascades*, the structure that makes
   calling-context counts grow exponentially with depth (each layer
-  multiplies the context count by its lane count).
+  multiplies the context count by its lane count);
+* the collection service's demo traffic, its tests and the resilience
+  benchmark sample a hot-context population with
+  :func:`lane_chain_workload` and :func:`zipf_stream`: contexts on a
+  deep lane chain, drawn with a Zipf-shaped popularity curve.
 
 Everything is seeded and deterministic.
 """
@@ -17,8 +21,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.widths import Width
 from repro.graph.callgraph import CallGraph
 from repro.lang.model import (
     Branch,
@@ -31,6 +36,8 @@ from repro.lang.model import (
     VirtualCall,
     Work,
 )
+from repro.runtime.agent import DeltaPathProbe
+from repro.runtime.plan import DeltaPathPlan, build_plan_from_graph
 
 __all__ = [
     "random_callgraph",
@@ -39,6 +46,9 @@ __all__ = [
     "add_parallel_cascade",
     "ComponentSpec",
     "add_component",
+    "lane_chain",
+    "lane_chain_workload",
+    "zipf_stream",
 ]
 
 
@@ -338,3 +348,92 @@ def add_component(
         program.klass(holder).define(Method(ref.method, tuple(body)))
 
     return refs[0], refs, instantiate
+
+
+# ----------------------------------------------------------------------
+# Hot-context sample streams
+# ----------------------------------------------------------------------
+#: ``(leaf node, (stack, current id))``: one probe snapshot to decode.
+Observation = Tuple[str, Tuple[tuple, int]]
+
+#: Zipf exponent of the popularity curve.
+ZIPF_S = 1.2
+
+
+def lane_chain(depth: int = 40, lanes: int = 2) -> CallGraph:
+    """A depth-``depth`` chain with ``lanes`` parallel call sites per hop.
+
+    Lane choices multiply the context count (``lanes**depth``), so a
+    narrow width forces Algorithm 2 to anchor every few hops — contexts
+    become multi-piece stacks whose outer pieces are shared, which is
+    exactly what the decode engine's interning cache exploits.
+    """
+    graph = CallGraph("main")
+    prev = "main"
+    for d in range(depth):
+        node = f"f{d}"
+        for lane in range(lanes):
+            graph.add_edge(prev, node, f"d{d}l{lane}")
+        prev = node
+    return graph
+
+
+def _walk_snapshot(
+    plan: DeltaPathPlan, path: Sequence[Tuple[str, str, str]]
+) -> Observation:
+    """Drive a fresh probe along ``path``; return (leaf, snapshot)."""
+    probe = DeltaPathProbe(plan, cpt=True)
+    probe.begin_execution(plan.graph.entry)
+    probe.enter_function(plan.graph.entry)
+    node = plan.graph.entry
+    for caller, label, callee in path:
+        probe.before_call(caller, label, callee)
+        probe.enter_function(callee)
+        node = callee
+    return node, probe.snapshot(node)
+
+
+def lane_chain_workload(
+    depth: int = 40, contexts: int = 400, seed: int = 1
+) -> Tuple[CallGraph, DeltaPathPlan, List[Observation], List[float]]:
+    """A seeded hot-context population on a two-lane :func:`lane_chain`.
+
+    Returns ``(graph, plan, observations, weights)``: ``contexts``
+    distinct contexts (random lane choices, random depths from
+    ``depth // 2``) encoded under a 16-bit plan, which forces anchors
+    every few hops, plus their Zipf weights, heaviest first.
+    """
+    lanes = 2
+    rng = random.Random(seed)
+    graph = lane_chain(depth, lanes)
+    plan = build_plan_from_graph(graph, width=Width(16))
+    seen = set()
+    observations: List[Observation] = []
+    while len(observations) < contexts:
+        d = rng.randrange(max(depth // 2, 1), depth)
+        path = []
+        prev = "main"
+        choices = []
+        for hop in range(d):
+            lane = rng.randrange(lanes)
+            choices.append(lane)
+            path.append((prev, f"d{hop}l{lane}", f"f{hop}"))
+            prev = f"f{hop}"
+        key = (d, tuple(choices))
+        if key in seen:
+            continue
+        seen.add(key)
+        observations.append(_walk_snapshot(plan, path))
+    weights = [1.0 / (rank + 1) ** ZIPF_S for rank in range(contexts)]
+    return graph, plan, observations, weights
+
+
+def zipf_stream(
+    observations: Sequence[Observation],
+    weights: Sequence[float],
+    samples: int,
+    seed: int,
+) -> List[Observation]:
+    """``samples`` observations drawn by weight; deterministic in ``seed``."""
+    rng = random.Random(seed + 7)
+    return rng.choices(observations, weights=weights, k=samples)

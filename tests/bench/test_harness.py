@@ -1,13 +1,15 @@
 """Harness modules: reporting, table builders, figure-8 rows, CLI."""
 
+import json
+
 import pytest
 
 from repro.bench.figure8 import CONFIGURATIONS, figure8_row, figure8_summary, make_probe
 from repro.bench.paperdata import PAPER_TABLE1, PAPER_TABLE2
-from repro.bench.reporting import geomean, render_table, sci
+from repro.bench.reporting import geomean, render_table, sci, write_bench_json
 from repro.bench.table1 import render_table1, table1_row
 from repro.bench.table2 import render_table2, table2_row
-from repro.cli import main
+from repro.cli import COMMANDS, build_parser, main
 from repro.runtime.plan import build_plan
 from repro.workloads.specjvm import build_benchmark
 
@@ -36,6 +38,17 @@ class TestReporting:
         assert lines[0] == "T"
         assert "A" in lines[1] and "B" in lines[1]
         assert len(lines) == 5  # title, header, separator, two rows
+
+    def test_json_round_trips_with_a_stamp(self, tmp_path):
+        result = {"benchmark": "demo", "rows": [{"a": 1}], "ok": True}
+        target = tmp_path / "BENCH_demo.json"
+        write_bench_json(result, str(target))
+        saved = json.loads(target.read_text())
+        # The artifact is the result plus the self-description stamp.
+        for key, value in result.items():
+            assert saved[key] == value
+        assert saved["schema_version"] >= 2
+        assert saved["commit"] and saved["timestamp"]
 
     def test_geomean(self):
         assert geomean([1.0, 4.0]) == pytest.approx(2.0)
@@ -103,6 +116,34 @@ class TestFigure8:
 
 
 class TestCLI:
+    def test_help_enumerates_every_command(self):
+        parser = build_parser()
+        text = parser.format_help()
+        assert len(COMMANDS) >= 11
+        names = [name for name, _ in COMMANDS]
+        assert len(names) == len(set(names))
+        for name, description in COMMANDS:
+            assert name in text
+            assert description in text
+        assert "serve" in names
+        # perfbench/ is the benchmark: the retired one-shot studies and
+        # the configuration matrix are not commands any more.
+        for retired in ("serve-bench", "obs-bench", "query-bench",
+                        "bench-matrix"):
+            assert retired not in names
+
+    def test_serve_command_runs_a_bounded_demo(self, capsys):
+        code = main([
+            "serve", "--workers", "1", "--duration", "0.6",
+            "--rate", "50", "--depth", "8", "--contexts", "16",
+            "--seed", "3",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "serving http://127.0.0.1:" in out
+        assert "decode worker process(es)" in out
+        assert "0 dropped" in out
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

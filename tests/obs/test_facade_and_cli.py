@@ -63,7 +63,7 @@ class TestLayerInstrumentation:
         assert registry.gauge("encode.last_nodes").value == 6
 
     def test_traced_lifecycle_covers_three_layers(self):
-        from repro.bench.obsbench import trace_layers_demo
+        from repro.cli import trace_layers_demo
 
         obs.get_tracer().clear()
         info = trace_layers_demo()
@@ -196,15 +196,21 @@ class TestCliArtifacts:
         # Prometheus flavour for the .prom suffix, counter included.
         assert "repro_cli_test_crashed 1" in metrics.read_text()
 
-    def test_obs_bench_smoke_writes_the_artifact(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_obs.json"
+    def test_obs_subcommand_writes_trace_and_metrics(self, tmp_path,
+                                                     capsys):
+        trace = tmp_path / "trace.json"
+        metrics = tmp_path / "metrics.json"
         assert main([
-            "obs-bench", "--smoke", "--iterations", "20", "--repeats", "1",
-            "--json", str(path),
+            "obs", "--format", "json",
+            "--trace-out", str(trace), "--metrics-out", str(metrics),
         ]) == 0
-        result = json.loads(path.read_text())
-        assert result["benchmark"] == "obs-bench"
-        configs = [row["config"] for row in result["overhead"]]
-        assert configs == ["baseline", "disabled", "sampled", "traced"]
-        assert len(result["trace"]["layers"]) >= 3
-        assert "probe.hot_swaps" in result["registry"]
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert events
+        ts = [e["ts"] for e in events]
+        assert ts == sorted(ts)
+        assert all(e["ph"] != "X" or e["dur"] >= 0 for e in events)
+        layers = {e["name"].split(".", 1)[0] for e in events}
+        assert {"encode", "probe", "service"} <= layers
+        flat = json.loads(metrics.read_text())
+        assert "probe.hot_swaps" in flat
+        assert "service.submitted" in flat

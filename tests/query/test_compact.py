@@ -182,7 +182,7 @@ class TestJournalMatrix:
         intent = dict(self.INTENT)
         write_journal(str(tmp_path), intent)
         # a checkpoint record masquerading as a journal
-        from repro.resilience.checkpoint import record_line
+        from repro.recordio import record_line
         path = self.journal_path(tmp_path)
         lines = open(path).readlines()
         alien = record_line({"kind": "checkpoint", "version": 1})
@@ -190,7 +190,7 @@ class TestJournalMatrix:
         assert load_journal(str(tmp_path)) is None
 
     def test_unknown_version_rejected(self, tmp_path):
-        from repro.resilience.checkpoint import record_line
+        from repro.recordio import record_line
         header = {"kind": "compact-intent",
                   "version": JOURNAL_VERSION + 1}
         header.update(self.INTENT)
@@ -371,6 +371,66 @@ class TestRetention:
         engine = QueryEngine(store).refresh()
         assert engine.top_contexts(20, window=(30.0, 40.0)) == \
             windowed_before
+
+    def test_capped_store_plateaus_and_conserves(self, tmp_path):
+        """An unbounded run: the same 24 flushes go into a store that is
+        never compacted and into one swept under segment/age caps after
+        every flush. The capped store plateaus; retention may delete
+        history, never lose track of it (live + retired == flushed)."""
+        import random
+
+        caps = RetentionPolicy(max_segments=6, max_age_s=16.0)
+        rng = random.Random(7 ^ 0x5E7A)
+        flushes = []
+        for i in range(24):
+            rows = {}
+            for j in range(60):
+                path = (f"svc{j % 4}", f"op{j % 32}",
+                        f"ctx{rng.randint(0, 400)}")
+                count, gaps, epoch = rows.get(path, (0, 0, 0))
+                rows[path] = (count + 1 + rng.randint(0, 5), gaps, epoch)
+            flushes.append(SegmentState(
+                t_lo=float(i), t_hi=float(i + 1), fingerprint="retain",
+                rows=tuple(
+                    (path, count, gaps, epoch)
+                    for path, (count, gaps, epoch) in sorted(rows.items())
+                ),
+            ))
+        flushed = sum(r[1] for state in flushes for r in state.rows)
+
+        def run(directory, compact):
+            store = SegmentStore(str(directory))
+            compactor = Compactor(
+                store, CompactionPolicy(min_inputs=4, retention=caps)
+            )
+            segments, sizes = [], []
+            for i, state in enumerate(flushes):
+                store.append(state)
+                if compact:
+                    compactor.compact(now=float(i + 1))
+                segments.append(len(store.refresh()))
+                sizes.append(sum(
+                    os.path.getsize(os.path.join(directory, name))
+                    for name in os.listdir(directory)
+                    if name.endswith(".dpqs")
+                ))
+            live = sum(r[1] for seg in store.segments() for r in seg.rows)
+            retired = sum(c for c, _ in store.retired_totals().values())
+            return segments, sizes, live, retired, compactor.compactions
+
+        segs, sizes, live, retired, swaps = run(tmp_path / "uncapped", False)
+        # the uncapped baseline grows one file per flush, forever
+        assert segs[-1] == len(flushes)
+        assert (live, retired) == (flushed, 0)
+        uncapped_bytes = sizes[-1]
+
+        segs, sizes, live, retired, swaps = run(tmp_path / "capped", True)
+        # the capped store stays under its file cap once warmed up
+        assert max(segs[len(segs) // 2:]) <= caps.max_segments
+        assert sizes[-1] < uncapped_bytes
+        assert live + retired == flushed
+        assert retired > 0
+        assert swaps > 0
 
     def test_keep_spans_floor_survives_total_expiry(self, tmp_path):
         store = fill(tmp_path, n=3)

@@ -175,7 +175,7 @@ class TestCorruption:
     def test_tampered_index_rejected(self, tmp_path):
         # A validly-checksummed index that disagrees with the rows must
         # still be rejected: the load path rebuilds and compares.
-        from repro.resilience.checkpoint import pack_section
+        from repro.recordio import pack_section
 
         path = write_segment(str(tmp_path), 1, small_state())
         lines = open(path).readlines()
@@ -307,11 +307,11 @@ class TestV1BackCompat:
     def _write_v1(self, tmp_path, rows):
         """A version-1 file: 4-column rows, no spans section."""
         from repro.query.segment import _build_postings
-        from repro.resilience.checkpoint import delta_encode_rows
+        from repro.recordio import delta_encode_rows
 
         names, nodes_flat, pids = delta_encode_rows(list(rows))
         index = _build_postings(nodes_flat, pids)
-        from repro.resilience.checkpoint import pack_section
+        from repro.recordio import pack_section
         lines = [_line({
             "kind": "header", "version": 1, "t_lo": 0.0, "t_hi": 10.0,
             "fingerprint": "old", "rows": len(rows),
@@ -344,7 +344,7 @@ class TestV1BackCompat:
         assert seg.rows == tuple(rows)
 
     def test_v1_file_with_spans_section_rejected(self, tmp_path):
-        from repro.resilience.checkpoint import pack_section
+        from repro.recordio import pack_section
         path = self._write_v1(tmp_path, [(("a",), 1, 0, 0)])
         lines = open(path).readlines()
         payload = {"kind": "spans"}

@@ -210,3 +210,76 @@ class TestSnapshotOrder:
         for pid, path in store.iter_paths():
             assert pids[path] == pid
         assert [p for _pid, p in store.iter_paths()] == sorted(PATHS)
+
+
+def cct_paths(contexts, *, names=512, max_depth=64, seed=1):
+    """Contexts forming a calling-context tree, in discovery order.
+
+    Real collectors retain a context for *every* live frame, so the
+    retained set is closed under prefixes — a CCT, not an arbitrary
+    path set. Growth mimics a trace: mostly the walk deepens the
+    current context (long shared trunks), sometimes it jumps back to an
+    arbitrary known context (branching).
+    """
+    import random
+
+    rng = random.Random(seed + 31)
+    pool = [f"fn{i}" for i in range(names)]
+    paths = [("main",)]
+    seen = {("main",)}
+    current = ("main",)
+    while len(paths) < contexts:
+        if len(current) >= max_depth or rng.random() >= 0.8:
+            current = paths[rng.randrange(len(paths))]
+        current = current + (pool[rng.randrange(names)],)
+        if current not in seen:
+            seen.add(current)
+            paths.append(current)
+    return paths
+
+
+def tuple_baseline_bytes(paths):
+    """Bytes of the tuples-of-shared-strings representation.
+
+    Each retained context as a tuple of interned function-name strings:
+    every tuple object plus every distinct string once.
+    """
+    import sys
+
+    total = sys.getsizeof({i: None for i in range(len(paths))})
+    names = set()
+    for path in paths:
+        total += sys.getsizeof(path)
+        for name in path:
+            if name not in names:
+                names.add(name)
+                total += sys.getsizeof(name)
+    return total
+
+
+class TestFootprint:
+    """A calling-context tree costs less in the store than as tuples."""
+
+    def test_cct_paths_are_prefix_closed(self):
+        paths = cct_paths(200, seed=3)
+        assert len(paths) == 200
+        universe = set(paths)
+        for path in paths:
+            for cut in range(1, len(path)):
+                assert path[:cut] in universe
+
+    def test_store_round_trips_and_beats_tuples(self):
+        paths = cct_paths(4000)
+        footprint = {}
+        for compression in ("zlib", "none"):
+            # pid_cache off: the cold retained footprint is measured.
+            store = ContextStore(compression=compression, pid_cache=0)
+            pids = [store.intern(path) for path in paths]
+            assert all(
+                store.path(pid) == path
+                for pid, path in zip(pids[::62], paths[::62])
+            )
+            footprint[compression] = store.stats()["bytes"]
+        assert 0 < footprint["zlib"] <= footprint["none"]
+        # At least 1.5x smaller than the tuples it replaces.
+        assert tuple_baseline_bytes(paths) >= 1.5 * footprint["zlib"]

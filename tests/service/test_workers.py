@@ -114,6 +114,32 @@ class TestMultiprocessIngest:
         assert service.accounting()["aggregated"] == 4
         assert service.top_contexts(1) == [(3, ("main", "a", "c", "e"))]
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_every_fleet_width_ingests_losslessly(self, width):
+        """Uncached decode children, many small batches over the lanes:
+        each fleet width aggregates the whole stream."""
+        from repro.workloads.synthetic import lane_chain_workload
+
+        _, lane_plan, observations, _ = lane_chain_workload(
+            depth=8, contexts=24, seed=7
+        )
+        stream = [observations[i % len(observations)] for i in range(256)]
+        service = ContextService(lane_plan, ServiceConfig(
+            worker_processes=width, shards=8, piece_cache=0,
+            context_cache=0, batch_max=64,
+        )).start()
+        try:
+            for lo in range(0, len(stream), 64):
+                service.submit_batch(SampleBatch.from_observations(
+                    stream[lo:lo + 64], epoch=0
+                ))
+            service.flush(timeout=60)
+            acct = service.accounting()
+            assert acct["submitted"] == 256
+            assert acct["aggregated"] == 256
+        finally:
+            service.stop()
+
     def test_single_sample_shim_routes_through_lanes(self, plan, snapshots):
         service = ContextService(
             plan, ServiceConfig(worker_processes=2, shards=2)
