@@ -56,7 +56,7 @@ DEFAULT_SIZES = (1_000, 5_000, 20_000)
 SMOKE_SIZES = (500, 2_000)
 #: The acceptance bar: resilient steady-state may cost at most this.
 OVERHEAD_TARGET_PCT = 5.0
-_REPEATS = 3
+_REPEATS = 5
 
 
 # ----------------------------------------------------------------------
@@ -99,12 +99,13 @@ def overhead_study(
 ) -> Dict[str, object]:
     """Plain vs fully-armed service on a fault-free hot stream.
 
-    Each configuration runs ``repeats`` times with the two configs
-    interleaved (plain, resilient, plain, ...) so slow machine drift
-    hits both equally; the best run per config counts (throughput
-    studies measure the machine's capability, not its scheduling
-    noise). No faults are injected, so every sample must aggregate in
-    both configurations.
+    Runs ``repeats`` back-to-back (plain, resilient) pairs and judges
+    the median pair: machine drift on a shared host moves both halves
+    of a pair alike and cancels in the pair's ratio, where a best run
+    per config would compare two unrelated lucky moments. A pair's
+    overhead is its throughput loss, ``1 - plain_ms / resilient_ms``.
+    No faults are injected, so every sample must aggregate in both
+    configurations.
     """
     _graph, plan, observations, weights = lane_chain_workload(
         depth=24, contexts=200, seed=seed
@@ -112,25 +113,19 @@ def overhead_study(
     stream = zipf_stream(observations, weights, samples, seed)
     resilient_cfg = ResilienceConfig(seed=seed)
 
-    runs: Dict[str, List[Dict[str, object]]] = {"plain": [], "resilient": []}
+    pairs = []
     for _ in range(repeats):
-        for name, resilience in (("plain", None), ("resilient", resilient_cfg)):
-            runs[name].append(_ingest_once(plan, stream, resilience))
-    best = {
-        name: max(results, key=lambda r: r["per_s"])
-        for name, results in runs.items()
-    }
-    plain_per_s = best["plain"]["per_s"]
-    resilient_per_s = best["resilient"]["per_s"]
-    overhead_pct = (
-        (plain_per_s - resilient_per_s) / plain_per_s * 100.0
-        if plain_per_s
-        else 0.0
-    )
+        plain = _ingest_once(plan, stream, None)
+        resilient = _ingest_once(plan, stream, resilient_cfg)
+        pct = (1.0 - plain["elapsed_ms"] / resilient["elapsed_ms"]) * 100.0
+        pairs.append((pct, plain, resilient))
+    pairs.sort(key=lambda pair: pair[0])
+    overhead_pct, plain, resilient = pairs[len(pairs) // 2]
     return {
-        "plain": best["plain"],
-        "resilient": best["resilient"],
+        "plain": plain,
+        "resilient": resilient,
         "overhead_pct": round(overhead_pct, 2),
+        "pair_overheads_pct": [round(pair[0], 2) for pair in pairs],
         "target_pct": OVERHEAD_TARGET_PCT,
         "within_target": overhead_pct <= OVERHEAD_TARGET_PCT,
         "repeats": repeats,

@@ -311,7 +311,7 @@ def batch_equivalence_scenario(
     """Differential oracle: the batch path must equal the scalar path.
 
     The same observation stream is fed to two losslessly-configured
-    services — one through the deprecated per-sample ``submit`` shim,
+    services — one through the per-sample ``submit``,
     one through columnar ``submit_batch`` with hot swaps landing
     *mid-batch* (a partially-filled :class:`SampleBatch` straddles the
     epoch bump, so one batch carries samples stamped under two epochs).
@@ -322,8 +322,6 @@ def batch_equivalence_scenario(
 
     Returns a list of failure descriptions (empty when all held).
     """
-    import warnings
-
     from repro.service.batch import SampleBatch
     from repro.service.service import ContextService, ServiceConfig
 
@@ -353,18 +351,16 @@ def batch_equivalence_scenario(
         final_plan = updates[-1].plan if updates else plan
         chunk = rng.randint(3, 9)
 
-        # Scalar reference: one sample per call through the legacy shim.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for index, (node, snap) in enumerate(observations):
-                scalar.submit(node, snap, plan=plan)
-                if pending_s and index % swap_every == swap_every - 1:
-                    scalar.install_update(pending_s.pop(0))
-            while pending_s:
+        # Scalar reference: one sample per call through submit().
+        for index, (node, snap) in enumerate(observations):
+            scalar.submit(node, snap, plan=plan)
+            if pending_s and index % swap_every == swap_every - 1:
                 scalar.install_update(pending_s.pop(0))
-            for node, snap in post_swap:
-                scalar.submit(node, snap, plan=final_plan)
-            scalar.flush()
+        while pending_s:
+            scalar.install_update(pending_s.pop(0))
+        for node, snap in post_swap:
+            scalar.submit(node, snap, plan=final_plan)
+        scalar.flush()
 
         # Batch path: identical stream, identical swap schedule — but
         # swaps land while a batch is mid-fill, so epochs mix in-batch.

@@ -448,7 +448,7 @@ def check_batch(case: FuzzCase, observations: int = 24) -> List[str]:
     """Batch-vs-scalar differential ingestion (see
     :func:`repro.check.invariants.batch_equivalence_scenario`).
 
-    Feeds one fuzzed workload through the per-sample shim and through
+    Feeds one fuzzed workload through the per-sample ``submit`` and through
     ``submit_batch`` (with hot swaps landing mid-batch) and demands
     identical queries and accounting from both services.
     """

@@ -23,9 +23,9 @@ everything that happens to the collected integers afterwards:
 * :class:`ContextService` — the facade wiring all of it together, with
   full metrics (counters, queue depth, cache hit rates, latency
   histograms). Ingest with :meth:`ContextService.submit_batch`; the
-  scalar ``submit`` / ``submit_many`` / ``sink`` calls remain as
-  deprecated shims. Also exported from :mod:`repro.api` / the package
-  root.
+  scalar ``submit`` / ``submit_many`` / ``sink`` calls feed the
+  same decode path one sample at a time. Also exported from
+  :mod:`repro.api` / the package root.
 
 Benchmarked end to end by ``perfbench/`` (``python3 perfbench/report.py``).
 """

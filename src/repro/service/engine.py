@@ -261,44 +261,6 @@ class DecodeEngine:
         self._contexts.put(key, result)
         return result
 
-    def decode_batch(
-        self,
-        keys: Sequence[Tuple[int, str, Tuple[StackEntry, ...], int]],
-    ) -> List[Tuple[Tuple[int, str, Tuple[StackEntry, ...], int],
-                    Optional[DecodedSample], Optional[Exception]]]:
-        """Decode distinct ``(epoch, node, stack, current_id)`` keys.
-
-        The dedup-then-decode core of the batch path: the caller groups
-        a batch by key and each *distinct* key decodes exactly once —
-        through the same memoized path as :meth:`decode_path`, so batch
-        and scalar decoding can never disagree. Per-key failures are
-        returned, not raised: the result is a list of
-        ``(key, decoded_or_None, error_or_None)`` aligned with ``keys``,
-        letting the service dead-letter one poisoned group while the
-        rest of the batch aggregates. :class:`DecodingError` /
-        :class:`EpochError` mark deterministic failures; any other
-        exception is presumed transient and left to the caller's retry
-        policy.
-        """
-        out: List[
-            Tuple[
-                Tuple[int, str, Tuple[StackEntry, ...], int],
-                Optional[DecodedSample],
-                Optional[Exception],
-            ]
-        ] = []
-        for key in keys:
-            epoch, node, stack, current_id = key
-            try:
-                decoded = self.decode_path(
-                    node, (stack, current_id), epoch=epoch
-                )
-            except Exception as exc:  # noqa: BLE001 - reported per key
-                out.append((key, None, exc))
-            else:
-                out.append((key, decoded, None))
-        return out
-
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, dict]:
         return {

@@ -228,21 +228,13 @@ class BoundedQueue:
         self,
         max_batch: int,
         timeout: Optional[float] = None,
-        linger: float = 0.0,
     ) -> List:
         """Up to ``max_batch`` samples' worth of items.
 
         Returns queue items (samples and/or batches); [] on
         close-and-empty or timeout. The last item may push the sample
-        total past ``max_batch`` — batches are never split. ``linger``
-        keeps the drain waiting up to that many seconds for more traffic
-        when the first grab came back smaller than ``max_batch``,
-        trading a bounded latency for fuller (cheaper-per-sample)
-        handler batches.
+        total past ``max_batch`` — batches are never split.
         """
-        deadline = (
-            (time.monotonic() + linger) if linger and linger > 0 else None
-        )
         with self._not_empty:
             if not self._not_empty.wait_for(
                 lambda: self._items or self._closed, timeout=timeout
@@ -250,26 +242,12 @@ class BoundedQueue:
                 return []
             batch: List = []
             taken = 0
-            while True:
-                while self._items and taken < max_batch:
-                    item = self._items.popleft()
-                    count = item_samples(item)
-                    self._size -= count
-                    taken += count
-                    batch.append(item)
-                if (
-                    deadline is None
-                    or taken >= max_batch
-                    or self._closed
-                ):
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                if not self._not_empty.wait_for(
-                    lambda: self._items or self._closed, timeout=remaining
-                ):
-                    break
+            while self._items and taken < max_batch:
+                item = self._items.popleft()
+                count = item_samples(item)
+                self._size -= count
+                taken += count
+                batch.append(item)
             if batch:
                 self._not_full.notify_all()
             return batch
@@ -338,7 +316,6 @@ class WorkerPool:
         batch_size: int = 256,
         on_error: Optional[Callable[[BaseException], None]] = None,
         poll_interval: float = 0.05,
-        linger: float = 0.0,
         fault: Optional[Callable[[int], None]] = None,
     ):
         if workers < 1:
@@ -350,7 +327,6 @@ class WorkerPool:
         self._batch_size = batch_size
         self._on_error = on_error
         self._poll = poll_interval
-        self._linger = linger
         self._fault = fault
         self._lock = threading.Lock()
         self._threads: List[threading.Thread] = [
@@ -388,8 +364,7 @@ class WorkerPool:
                 if fault is not None:
                     fault(slot)
                 batch = self._queue.get_batch(
-                    self._batch_size, timeout=self._poll,
-                    linger=self._linger,
+                    self._batch_size, timeout=self._poll
                 )
                 if not batch:
                     if self._queue.closed and not len(self._queue):

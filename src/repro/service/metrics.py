@@ -31,7 +31,36 @@ from typing import Dict, List, Optional
 from repro import obs
 from repro.obs.registry import LatencyHistogram, MetricsRegistry
 
-__all__ = ["LatencyHistogram", "ServiceMetrics"]
+__all__ = ["LatencyHistogram", "MERGE_BUCKETS", "ServiceMetrics", "accounted"]
+
+#: Accounting buckets a worker fleet merges across processes: the
+#: conservation law's right-hand side minus ``dropped`` (owned by the
+#: queue or the lanes, not the counters), plus two diagnostic tallies.
+MERGE_BUCKETS = (
+    "aggregated",
+    "dead_lettered",
+    "epoch_mismatches",
+    "fallback_dropped",
+    "fallback_pending",
+    "decode_errors",
+    "recovered",
+)
+
+
+def accounted(acct: Dict[str, int]) -> int:
+    """Samples an ``accounting()`` dict has routed to a bucket.
+
+    The conservation law's right-hand side: at any quiescent point it
+    equals ``acct["submitted"]``.
+    """
+    return (
+        acct["aggregated"]
+        + acct["dead_lettered"]
+        + acct["epoch_mismatches"]
+        + acct["dropped"]
+        + acct["fallback_dropped"]
+        + acct["fallback_pending"]
+    )
 
 
 class ServiceMetrics:

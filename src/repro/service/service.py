@@ -16,8 +16,8 @@ contexts, per-function rollups, UCP counts) merge shards on read and
 take a uniform keyword-only ``epoch=`` / ``decoded=`` contract.
 
 The scalar calls (:meth:`submit`, :meth:`submit_many`, :meth:`sink`)
-remain as thin compatibility shims over the batch path; each emits one
-:class:`DeprecationWarning` per call site.
+feed the same grouped decode path one sample at a time. They are the
+reference side of the batch-vs-scalar oracle, so they stay supported.
 
 Hot swaps plug straight into PR 1's machinery: call
 :meth:`ContextService.install_update` with the :class:`PlanUpdate` used
@@ -34,11 +34,15 @@ Failure handling (PR 5) is governed by one conservation law::
 Every submitted sample is either in the tree, quarantined in the
 dead-letter queue with its exception, dropped by a *declared*
 backpressure/shutdown policy, or retained raw in the fallback store
-awaiting replay. Nothing vanishes silently. Passing
-``resilience=ResilienceConfig(...)`` additionally arms worker
-supervision (heartbeats + budgeted restarts), the decode circuit
-breaker, and durable checkpoints; ``chaos=ChaosInjector(...)`` threads
-fault injection through every one of those paths.
+awaiting replay. Nothing vanishes silently. Every decode, armed or
+not, walks one retry ladder per distinct group
+(:meth:`ContextService._decode_group`): breaker check, decode,
+dead-letter on a deterministic failure, back off and retry a transient
+one. Passing ``resilience=ResilienceConfig(...)``
+additionally arms worker supervision (heartbeats + budgeted restarts),
+the decode circuit breaker, and durable checkpoints;
+``chaos=ChaosInjector(...)`` threads fault injection through every one
+of those paths.
 
 Typical wiring::
 
@@ -57,12 +61,10 @@ from __future__ import annotations
 
 import os
 import random
-import sys
 import threading
 import time
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import (
@@ -82,7 +84,7 @@ from repro.service.ingest import (
     WorkerPool,
     iter_samples,
 )
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import MERGE_BUCKETS, ServiceMetrics, accounted
 from repro.service.shards import ShardedContextTree
 from repro.service.store import ContextStore
 
@@ -115,10 +117,6 @@ class ServiceConfig:
     #: ``batch_size``). Raise it so a worker turn swallows whole
     #: submitted batches instead of chopping the queue into crumbs.
     batch_max: Optional[int] = None
-    #: How long (milliseconds) a worker lingers for more traffic when a
-    #: drain comes back under budget — bounded latency for fuller,
-    #: cheaper-per-sample batches. 0 disables.
-    batch_linger_ms: float = 0.0
     #: Context-store compression for sealed blocks: "zlib" | "none".
     store_compression: str = "zlib"
     #: Directory for the durable query-segment store (None disables the
@@ -137,11 +135,6 @@ class ServiceConfig:
     #: :mod:`repro.service.workers`); hot swaps are unsupported in this
     #: topology and metrics/accounting merge at read time.
     worker_processes: int = 0
-    #: Ring slots per shared-memory lane (one lane per worker process).
-    lane_slots: int = 64
-    #: Bytes per lane slot; one DPSB record must fit (oversized batches
-    #: are split, an unsplittable record is dropped and counted).
-    lane_slot_bytes: int = 1 << 20
     #: Root for worker heartbeat/status/checkpoint files (None = a
     #: private temp dir, removed when the pool is destroyed).
     worker_dir: Optional[str] = None
@@ -199,8 +192,6 @@ class ContextService:
         self.store = ContextStore(compression=self.config.store_compression)
         self.tree = ShardedContextTree(self.config.shards, store=self.store)
         self.metrics = ServiceMetrics()
-        self._legacy_lock = threading.Lock()
-        self._legacy_sites: Set[Tuple[str, str, int]] = set()
 
         # Resilience wiring. The imports are method-local because
         # repro.resilience imports repro.service.ingest — importing it
@@ -234,7 +225,6 @@ class ContextService:
             self._handle_items,
             workers=self.config.workers,
             batch_size=self.config.drain_budget,
-            linger=self.config.batch_linger_ms / 1000.0,
             on_error=lambda exc: self.metrics.record_error(repr(exc)),
             fault=chaos.worker_fault if chaos is not None else None,
         )
@@ -376,40 +366,29 @@ class ContextService:
         if self._daemon is not None:
             self._daemon.stop()
         self._queue.close()
-        ok = True
+        # Wait for the workers: processes close their lanes, drain and
+        # exit (each writes its final checkpoint/segments/status) and
+        # hand back what a dead worker left queued; threads just join.
+        leftovers = []
         if self._procs is not None:
-            # Process topology: close the lanes, let workers drain and
-            # exit (each writes its final checkpoint/segments/status),
-            # then ingest inline whatever a dead worker left behind so
-            # every sample still lands in a conservation bucket.
             leftovers = self._procs.stop(drain=self._started and drain,
                                          timeout=timeout)
-            if self._started:
-                for batch in leftovers:
-                    self._handle_items([batch])
-                if len(self._queue):
-                    self._shed_queue_to_fallback()
-                self.replay_fallback()
-                ok = (
-                    self._procs.alive() == 0
-                    and not len(self._procs._queue)
-                )
-                if not ok and drain:
-                    self.metrics.count("flush_timeout")
         elif self._started and drain:
             self._pool.join(timeout=timeout)
-            if self._pool.alive() == 0:
-                # All workers finished (normally or dead): anything the
-                # pool left behind is retained raw, then replayed inline
-                # unless the breaker is holding decode shut.
-                if len(self._queue):
-                    self._shed_queue_to_fallback()
+        ok = True
+        if self._started:
+            workers = self._procs if self._procs is not None else self._pool
+            if workers.alive() == 0:
+                # Every worker finished (normally or dead): what they
+                # left behind is ingested inline or retained raw, then
+                # replayed unless the breaker is holding decode shut.
+                for batch in leftovers:
+                    self._handle_items([batch])
+                self._shed_to_fallback()
                 self.replay_fallback()
-            ok = self._pool.alive() == 0 and not len(self._queue)
-            if not ok:
+            ok = workers.alive() == 0 and not len(workers._queue)
+            if not ok and drain:
                 self.metrics.count("flush_timeout")
-        elif self._started:
-            ok = self._pool.alive() == 0 and not len(self._queue)
         if (
             ok
             and self._store is not None
@@ -523,22 +502,7 @@ class ContextService:
         _sink.flush = flush
         return _sink
 
-    # -- scalar compatibility shims ------------------------------------
-    def _warn_legacy(self, api: str, replacement: str) -> None:
-        """One :class:`DeprecationWarning` per (api, call site)."""
-        frame = sys._getframe(2)
-        site = (api, frame.f_code.co_filename, frame.f_lineno)
-        with self._legacy_lock:
-            if site in self._legacy_sites:
-                return
-            self._legacy_sites.add(site)
-        warnings.warn(
-            f"ContextService.{api}() is a compatibility shim over the "
-            f"batch-first API; prefer {replacement}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
+    # -- scalar API (the batch-vs-scalar oracle's reference path) -------
     def submit(
         self,
         node: str,
@@ -548,12 +512,10 @@ class ContextService:
         weight: int = 1,
         timeout: Optional[float] = None,
     ) -> bool:
-        """Queue one observation for ingestion (scalar shim).
+        """Queue one observation for ingestion.
 
-        .. deprecated:: batch-first API
-            Prefer :meth:`submit_batch` (or :meth:`batch_sink`); this
-            shim feeds the same grouped decode path one sample at a
-            time and warns once per call site.
+        The scalar form of :meth:`submit_batch`: the sample rides the
+        same grouped decode path. Prefer batches for throughput.
 
         ``plan`` names the plan the snapshot was captured under (e.g.
         ``probe.plan``); it resolves to the epoch the sample is stamped
@@ -562,20 +524,6 @@ class ContextService:
         Returns False when the sample was dropped by the backpressure
         policy (or retained raw in degraded mode without aggregation).
         """
-        self._warn_legacy("submit", "submit_batch()")
-        return self._submit_sample(
-            node, snapshot, plan=plan, weight=weight, timeout=timeout
-        )
-
-    def _submit_sample(
-        self,
-        node: str,
-        snapshot: Tuple[Sequence, int],
-        *,
-        plan: Optional[DeltaPathPlan] = None,
-        weight: int = 1,
-        timeout: Optional[float] = None,
-    ) -> bool:
         if not self._started:
             raise ServiceError("service not started; call start() first")
         if self._stopped:
@@ -611,36 +559,27 @@ class ContextService:
     ) -> int:
         """Submit many ``(node, snapshot)`` pairs; returns accepted count.
 
-        .. deprecated:: batch-first API
-            Prefer packing the observations with
-            :meth:`SampleBatch.from_observations` and calling
-            :meth:`submit_batch` — one queue item, one decode pass.
+        For throughput, pack the observations with
+        :meth:`SampleBatch.from_observations` and call
+        :meth:`submit_batch` — one queue item, one decode pass.
         """
-        self._warn_legacy("submit_many", "submit_batch()")
         accepted = 0
         for node, snapshot in observations:
-            if self._submit_sample(node, snapshot, plan=plan):
+            if self.submit(node, snapshot, plan=plan):
                 accepted += 1
         return accepted
 
     def sink(self) -> Callable:
-        """A per-observation collector sink (scalar shim).
-
-        .. deprecated:: batch-first API
-            Prefer :meth:`batch_sink`, which buffers observations into
-            columnar batches (same epoch-stamping contract, one queue
-            item per ``batch_max`` samples).
+        """A per-observation collector sink over :meth:`submit`.
 
         The collector calls it as ``sink(node, snapshot, probe)``; the
         probe's current plan stamps the sample's epoch, so collection
         keeps working across hot swaps with no extra wiring.
+        :meth:`batch_sink` is the buffering form.
         """
-        self._warn_legacy("sink", "batch_sink()")
 
         def _sink(node, snapshot, probe=None):
-            self._submit_sample(
-                node, snapshot, plan=getattr(probe, "plan", None)
-            )
+            self.submit(node, snapshot, plan=getattr(probe, "plan", None))
 
         return _sink
 
@@ -655,44 +594,19 @@ class ContextService:
         and raises — never a silent half-flush.
         """
         deadline = time.monotonic() + timeout
-        if self._procs is not None:
-            while time.monotonic() < deadline:
-                if self._degraded:
-                    self._drain_dead_lanes()
-                remaining = max(0.01, deadline - time.monotonic())
-                synced = self._procs.sync(timeout=remaining)
-                if len(self._fallback):
-                    self.replay_fallback()
-                acct = self.accounting()
-                done = (
-                    acct["aggregated"]
-                    + acct["dead_lettered"]
-                    + acct["epoch_mismatches"]
-                    + acct["dropped"]
-                    + acct["fallback_dropped"]
-                    + acct["fallback_pending"]
-                )
-                if synced and done >= acct["submitted"]:
-                    return
-                time.sleep(0.002)
-            self.metrics.count("flush_timeout")
-            raise ServiceError(f"flush timed out after {timeout}s")
         while time.monotonic() < deadline:
             if self._degraded:
                 # No workers left: the flushing thread does the work.
-                self._shed_queue_to_fallback()
+                self._shed_to_fallback()
+            if self._procs is not None:
+                remaining = max(0.01, deadline - time.monotonic())
+                quiet = self._procs.sync(timeout=remaining)
+            else:
+                quiet = not len(self._queue)
             if len(self._fallback):
                 self.replay_fallback()
-            snap = self.metrics.snapshot()
-            done = (
-                snap["aggregated"]
-                + snap["dead_lettered"]
-                + snap["epoch_mismatches"]
-                + self._queue.dropped
-                + snap["fallback_dropped"]
-                + len(self._fallback)
-            )
-            if not len(self._queue) and done >= snap["submitted"]:
+            acct = self.accounting()
+            if quiet and accounted(acct) >= acct["submitted"]:
                 return
             time.sleep(0.002)
         self.metrics.count("flush_timeout")
@@ -792,17 +706,27 @@ class ContextService:
         ``items`` mixes loose :class:`Sample` objects and whole
         :class:`SampleBatch` columns. Everything is collapsed into
         distinct ``(epoch, node, stack, id)`` groups first; each group
-        decodes once. With the breaker or chaos armed, groups walk the
-        full per-group retry ladder (so fault injection and breaker
-        state machines see every group); otherwise the fast path decodes
-        the whole group set and lands the counts with one locked pass
-        per shard.
+        decodes once (see :meth:`_ingest`).
         """
         start = time.perf_counter()
+        groups, total = self._group(items)
+        with obs.span("service.batch", samples=total, groups=len(groups)):
+            self.metrics.count("ingested", total)
+            self.metrics.count("batch.groups", len(groups))
+            self.metrics.count("batch.dedup_saved", total - len(groups))
+            self._ingest(groups)
+            self.metrics.count("batches")
+            self.metrics.batch_latency.observe(time.perf_counter() - start)
+
+    @staticmethod
+    def _group(items: Sequence) -> Tuple[Dict[Tuple, list], int]:
+        """``(groups, samples)``: items collapsed by decode key.
+
+        ``groups`` maps key -> [n_samples, weight, sources]; a source is
+        either a Sample or a (batch, group-key) pair — materialized only
+        if the group fails and its samples must be quarantined/retained.
+        """
         total = 0
-        # key -> [n_samples, weight, sources]; a source is either a
-        # Sample or a (batch, group-key) pair — materialized only if
-        # the group fails and its samples must be quarantined/retained.
         groups: Dict[Tuple, list] = {}
         for item in items:
             if isinstance(item, SampleBatch):
@@ -828,17 +752,7 @@ class ContextService:
                     slot[0] += 1
                     slot[1] += item.weight
                     slot[2].append(item)
-        with obs.span("service.batch", samples=total, groups=len(groups)):
-            self.metrics.count("ingested", total)
-            self.metrics.count("batch.groups", len(groups))
-            self.metrics.count("batch.dedup_saved", total - len(groups))
-            if self._breaker is not None or self._chaos is not None:
-                for gkey, (n, w, sources) in groups.items():
-                    self._ingest_group(gkey, n, w, sources)
-            else:
-                self._ingest_groups_fast(groups)
-            self.metrics.count("batches")
-            self.metrics.batch_latency.observe(time.perf_counter() - start)
+        return groups, total
 
     @staticmethod
     def _materialize(sources) -> List[Sample]:
@@ -852,45 +766,15 @@ class ContextService:
                 out.append(src)
         return out
 
-    def _ingest_groups_fast(self, groups: Dict[Tuple, list]) -> None:
-        """Un-armed path: one decode pass, one shard pass."""
+    def _ingest(self, groups: Dict[Tuple, list]) -> None:
+        """Decode every group, then land the counts in one tree pass."""
         t0 = time.perf_counter()
         entries = []
         aggregated = 0
-        for key, decoded, exc in self.engine.decode_batch(list(groups)):
-            n, weight, sources = groups[key]
-            if exc is not None:
-                if isinstance(exc, (DecodingError, EpochError)):
-                    # Deterministic: retrying cannot change the outcome.
-                    self.metrics.record_error(
-                        f"{key[1]}@epoch{key[0]}: {exc}"
-                    )
-                    for sample in self._materialize(sources):
-                        self._dlq.quarantine(
-                            sample, exc, 1,
-                            fingerprint=self._fingerprint_of(key[0]),
-                        )
-                    self.metrics.count("dead_lettered", n)
-                    obs.counter("resilience.dead_letters").inc(n)
-                elif self._retry_policy.max_attempts <= 1:
-                    self.metrics.record_error(
-                        f"{key[1]}@epoch{key[0]} (after 1 attempts): {exc!r}"
-                    )
-                    for sample in self._materialize(sources):
-                        self._dlq.quarantine(
-                            sample, exc, 1,
-                            fingerprint=self._fingerprint_of(key[0]),
-                        )
-                    self.metrics.count("dead_lettered", n)
-                    obs.counter("resilience.dead_letters").inc(n)
-                else:
-                    # Presumed transient: hand the group to the retry
-                    # ladder, crediting the failed decode as attempt 1.
-                    self.metrics.count("retries")
-                    obs.counter("resilience.retries").inc()
-                    time.sleep(self._retry_policy.delay(1, self._retry_rng))
-                    self._ingest_group(key, n, weight, sources, attempts=1)
-                continue
+        for key, (n, weight, sources) in groups.items():
+            decoded = self._decode_group(key, n, sources)
+            if decoded is None:
+                continue  # dead-lettered or retained raw
             path, has_gaps, used_epoch = decoded
             if used_epoch != key[0]:  # pragma: no cover - invariant
                 self.metrics.count("epoch_mismatches", n)
@@ -902,147 +786,77 @@ class ContextService:
             self.metrics.count("aggregated", aggregated)
         self.metrics.decode_latency.observe(time.perf_counter() - t0)
 
-    def _ingest_group(
-        self, key: Tuple, n: int, weight: int, sources, attempts: int = 0
-    ) -> None:
-        """Armed path: the scalar retry ladder, applied per group.
+    def _decode_group(self, key: Tuple, n: int, sources):
+        """The retry ladder for one group of ``n`` identical samples.
 
-        Identical semantics to :meth:`_ingest_sample`, but one decode
-        covers all ``n`` samples of the group — every accounting
-        outcome (aggregate, dead-letter, retain) moves the whole group,
-        keeping the conservation law's induction step intact.
-        ``attempts`` credits decode attempts already burned by the fast
-        path before it handed the group over.
+        Returns the decoded ``(path, has_gaps, epoch)``, or None once the
+        group has landed in another bucket: retained raw while the
+        breaker sheds (before the first attempt, or when a failure trips
+        it mid-retry); dead-lettered at once on a deterministic
+        :class:`DecodingError`/:class:`EpochError`; dead-lettered after
+        ``max_attempts`` backed-off retries of a transient failure. One
+        decode covers the whole group and every outcome moves all ``n``
+        samples — the conservation law's induction step.
         """
         epoch, node, stack, current_id = key
         breaker = self._breaker
         if breaker is not None and not breaker.allow():
             for sample in self._materialize(sources):
                 self._retain_fallback(sample)
-            return
-        while True:
-            attempts += 1
-            t0 = time.perf_counter()
-            try:
-                if self._chaos is not None:
-                    self._chaos.decode_fault()
-                path, has_gaps, used_epoch = self.engine.decode_path(
-                    node, (stack, current_id), epoch=epoch
-                )
-            except (DecodingError, EpochError) as exc:
-                if breaker is not None:
-                    breaker.record_failure()
-                self.metrics.record_error(f"{node}@epoch{epoch}: {exc}")
-                for sample in self._materialize(sources):
-                    self._dlq.quarantine(
-                        sample, exc, attempts,
-                        fingerprint=self._fingerprint_of(epoch),
-                    )
-                self.metrics.count("dead_lettered", n)
-                obs.counter("resilience.dead_letters").inc(n)
-                return
-            except Exception as exc:  # noqa: BLE001 - presumed transient
-                if breaker is not None:
-                    breaker.record_failure()
-                    if breaker.state == "open":
-                        for sample in self._materialize(sources):
-                            self._retain_fallback(sample)
-                        return
-                if attempts >= self._retry_policy.max_attempts:
-                    self.metrics.record_error(
-                        f"{node}@epoch{epoch} (after "
-                        f"{attempts} attempts): {exc!r}"
-                    )
-                    for sample in self._materialize(sources):
-                        self._dlq.quarantine(sample, exc, attempts)
-                    self.metrics.count("dead_lettered", n)
-                    obs.counter("resilience.dead_letters").inc(n)
-                    return
-                self.metrics.count("retries")
-                obs.counter("resilience.retries").inc()
-                time.sleep(self._retry_policy.delay(attempts, self._retry_rng))
-                continue
-            break
-        self.metrics.decode_latency.observe(time.perf_counter() - t0)
-        if breaker is not None:
-            breaker.record_success()
-        if used_epoch != epoch:  # pragma: no cover - invariant
-            self.metrics.count("epoch_mismatches", n)
-            return
-        self.tree.add(path, has_gaps, weight, epoch=epoch)
-        self.metrics.count("aggregated", n)
-
-    def _ingest_sample(self, sample: Sample) -> None:
-        """Decode and aggregate one sample, or account for its failure.
-
-        The failure ladder: breaker-open sheds to raw retention;
-        deterministic decode failures dead-letter immediately;
-        transient exceptions retry with backoff, then dead-letter.
-        Exactly one accounting outcome happens per call — that is the
-        conservation law's induction step.
-        """
-        breaker = self._breaker
-        if breaker is not None and not breaker.allow():
-            self._retain_fallback(sample)
-            return
+            return None
         attempts = 0
         while True:
             attempts += 1
-            t0 = time.perf_counter()
             try:
                 if self._chaos is not None:
                     self._chaos.decode_fault()
-                path, has_gaps, used_epoch = self.engine.decode_path(
-                    sample.node, sample.snapshot, epoch=sample.epoch
+                decoded = self.engine.decode_path(
+                    node, (stack, current_id), epoch=epoch
                 )
             except (DecodingError, EpochError) as exc:
-                # Deterministic: the snapshot cannot decode under its
-                # epoch's plan, and retrying will not change that.
+                # Deterministic: retrying cannot change the outcome.
                 if breaker is not None:
                     breaker.record_failure()
-                self.metrics.record_error(
-                    f"{sample.node}@epoch{sample.epoch}: {exc}"
-                )
-                self._quarantine(sample, exc, attempts)
-                return
+                self._dead_letter(key, n, sources, exc, attempts)
+                return None
             except Exception as exc:  # noqa: BLE001 - presumed transient
                 if breaker is not None:
                     breaker.record_failure()
                     if breaker.state == "open":
                         # Tripped mid-retry: stop burning attempts, the
-                        # sample waits out the storm in raw retention.
-                        self._retain_fallback(sample)
-                        return
+                        # group waits out the storm in raw retention.
+                        for sample in self._materialize(sources):
+                            self._retain_fallback(sample)
+                        return None
                 if attempts >= self._retry_policy.max_attempts:
-                    self.metrics.record_error(
-                        f"{sample.node}@epoch{sample.epoch} (after "
-                        f"{attempts} attempts): {exc!r}"
-                    )
-                    self._quarantine(sample, exc, attempts)
-                    return
+                    self._dead_letter(key, n, sources, exc, attempts)
+                    return None
                 self.metrics.count("retries")
                 obs.counter("resilience.retries").inc()
                 time.sleep(self._retry_policy.delay(attempts, self._retry_rng))
                 continue
-            break
-        self.metrics.decode_latency.observe(time.perf_counter() - t0)
-        if breaker is not None:
-            breaker.record_success()
-        if used_epoch != sample.epoch:  # pragma: no cover - invariant
-            self.metrics.count("epoch_mismatches")
-            return
-        self.tree.add(path, has_gaps, sample.weight, epoch=sample.epoch)
-        self.metrics.count("aggregated")
+            if breaker is not None:
+                breaker.record_success()
+            return decoded
 
-    def _quarantine(
-        self, sample: Sample, exc: BaseException, attempts: int
+    def _dead_letter(
+        self, key: Tuple, n: int, sources, exc: BaseException, attempts: int
     ) -> None:
-        self._dlq.quarantine(
-            sample, exc, attempts,
-            fingerprint=self._fingerprint_of(sample.epoch),
-        )
-        self.metrics.count("dead_lettered")
-        obs.counter("resilience.dead_letters").inc()
+        """Quarantine a group's samples, stamped with their plan."""
+        epoch, node = key[0], key[1]
+        if isinstance(exc, (DecodingError, EpochError)):
+            self.metrics.record_error(f"{node}@epoch{epoch}: {exc}")
+        else:
+            self.metrics.record_error(
+                f"{node}@epoch{epoch} (after {attempts} attempts): {exc!r}"
+            )
+        fingerprint = self._fingerprint_of(epoch)
+        for sample in self._materialize(sources):
+            self._dlq.quarantine(
+                sample, exc, attempts, fingerprint=fingerprint
+            )
+        self.metrics.count("dead_lettered", n)
+        obs.counter("resilience.dead_letters").inc(n)
 
     def _retain_fallback(self, sample: Sample) -> bool:
         if self._fallback.retain(sample):
@@ -1051,16 +865,19 @@ class ContextService:
         self.metrics.count("fallback_dropped")
         return False
 
-    def _shed_queue_to_fallback(self) -> int:
-        """Drain whatever sits in the queue into raw retention."""
-        shed = 0
+    def _shed_to_fallback(self) -> None:
+        """Retain raw what no worker will decode: the queue's contents
+        and, with worker processes, dead workers' lanes."""
         while True:
             items = self._queue.get_batch(256, timeout=0)
             if not items:
-                return shed
+                break
             for sample in iter_samples(items):
                 self._retain_fallback(sample)
-                shed += 1
+        if self._procs is not None:
+            for batch in self._procs.drain_leftovers(only_dead=True):
+                for sample in batch:
+                    self._retain_fallback(sample)
 
     def _enter_degraded(self) -> None:
         """Supervisor callback: restart budget exhausted.
@@ -1074,18 +891,7 @@ class ContextService:
                 return
             self._degraded = True
         obs.gauge("resilience.degraded").set(1)
-        self._shed_queue_to_fallback()
-        if self._procs is not None:
-            self._drain_dead_lanes()
-
-    def _drain_dead_lanes(self) -> int:
-        """Retain raw whatever dead workers left queued in their lanes."""
-        shed = 0
-        for batch in self._procs.drain_leftovers(only_dead=True):
-            for sample in batch:
-                self._retain_fallback(sample)
-                shed += 1
-        return shed
+        self._shed_to_fallback()
 
     @property
     def degraded(self) -> bool:
@@ -1098,18 +904,19 @@ class ContextService:
         """Re-ingest retained raw samples through the normal decode path.
 
         No-op while the breaker is open (that is what the retention is
-        *for*). Replay happens on the calling thread; each replayed
-        sample ends aggregated or dead-lettered. Returns replay count.
+        *for*). Replay happens on the calling thread, grouped like a
+        drained batch and through the same retry ladder; each replayed
+        sample ends aggregated, dead-lettered, or retained again if the
+        breaker sheds it. Returns replay count.
         """
         if self._breaker is not None and self._breaker.state == "open":
             return 0
-        replayed = 0
-        for sample in self._fallback.drain(limit):
-            self.metrics.count("fallback_replayed")
-            obs.counter("resilience.fallback_replays").inc()
-            self._ingest_sample(sample)
-            replayed += 1
-        return replayed
+        samples = self._fallback.drain(limit)
+        if samples:
+            self.metrics.count("fallback_replayed", len(samples))
+            obs.counter("resilience.fallback_replays").inc(len(samples))
+            self._ingest(self._group(samples)[0])
+        return len(samples)
 
     def dead_letters(self) -> List:
         """The quarantined samples (newest-bounded; see DeadLetterQueue)."""
@@ -1563,17 +1370,10 @@ class ContextService:
         oracles assert exactly this dict.
         """
         counters = self.metrics.snapshot()
-        out = {
-            "submitted": counters["submitted"],
-            "aggregated": counters["aggregated"],
-            "dead_lettered": counters["dead_lettered"],
-            "epoch_mismatches": counters["epoch_mismatches"],
-            "dropped": self._queue.dropped,
-            "fallback_dropped": counters["fallback_dropped"],
-            "fallback_pending": len(self._fallback),
-            "decode_errors": counters["decode_errors"],
-            "recovered": counters["recovered"],
-        }
+        out = {bucket: counters.get(bucket, 0) for bucket in MERGE_BUCKETS}
+        out["submitted"] = counters["submitted"]
+        out["dropped"] = self._queue.dropped
+        out["fallback_pending"] = len(self._fallback)
         if self._procs is not None:
             # The parent owns ``submitted`` and its own buckets
             # (leftover re-ingest, fallback replay); workers own the
@@ -1582,16 +1382,7 @@ class ContextService:
             # between lane pop and status write) is already folded into
             # the pool's dead_lettered, and lane drops into dropped.
             fleet = self._procs.accounting()
-            for bucket in (
-                "aggregated",
-                "dead_lettered",
-                "epoch_mismatches",
-                "dropped",
-                "fallback_dropped",
-                "fallback_pending",
-                "decode_errors",
-                "recovered",
-            ):
+            for bucket in MERGE_BUCKETS + ("dropped",):
                 out[bucket] += fleet.get(bucket, 0)
             out["crash_lost"] = fleet.get("crash_lost", 0)
         return out

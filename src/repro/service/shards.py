@@ -34,7 +34,7 @@ from repro.service.store import ContextStore
 __all__ = ["ShardStats", "ShardedContextTree"]
 
 Path = Tuple[str, ...]
-#: One decoded, counted group: (path, has_gaps, weight, samples, epoch).
+#: One decoded, counted group: (path, has_gaps, weight, epoch).
 CountEntry = Tuple[Path, bool, int, int]
 
 
@@ -100,41 +100,26 @@ class ShardedContextTree:
         weight: int = 1,
         *,
         epoch: int = 0,
-        samples: Optional[int] = None,
     ) -> None:
-        """Aggregate one decoded context path, ``weight`` times.
+        """Aggregate one decoded context path, ``weight`` times."""
+        self.add_counts([(tuple(path), has_gaps, weight, epoch)])
 
-        ``samples`` is the number of observations behind ``weight``
-        (defaults to ``weight``) — the figure ``total_samples`` and
-        shard-balance stats track.
-        """
-        self.add_counts([(tuple(path), has_gaps, weight, epoch)],
-                        samples=samples)
-
-    def add_counts(
-        self,
-        entries: Iterable[CountEntry],
-        *,
-        samples: Optional[int] = None,
-    ) -> None:
+    def add_counts(self, entries: Iterable[CountEntry]) -> None:
         """Apply decoded (path, has_gaps, weight, epoch) groups.
 
         Paths are interned into the shared store first (outside any
         shard lock), then counts land with one lock acquisition per
-        touched shard. ``samples`` overrides the per-entry observation
-        count (summed weight by default) — the batch path passes the
-        true sample total so weighted submissions stay accounted.
+        touched shard. ``total_samples`` and shard balance track the
+        summed weight.
         """
         interned: Dict[int, List[Tuple[int, bool, int, int, Optional[int]]]] = {}
         n_shards = len(self._shards)
-        total_entries = 0
         for path, has_gaps, weight, epoch in entries:
             pid = self.store.intern(tuple(path))
             leaf = self.store.leaf_name_id(pid)
             interned.setdefault(pid % n_shards, []).append(
                 (pid, has_gaps, weight, epoch, leaf)
             )
-            total_entries += 1
         for shard_index, rows in interned.items():
             shard = self._shards[shard_index]
             with shard.lock:
@@ -150,14 +135,7 @@ class ShardedContextTree:
                             shard.gap_counts.get(key, 0) + weight
                         )
                         shard.gap_samples += weight
-                    if samples is None:
-                        shard.samples += weight
-        if samples is not None and total_entries:
-            # One declared observation total for the whole batch; land
-            # it on the first touched shard so sums stay exact.
-            shard = self._shards[next(iter(interned))]
-            with shard.lock:
-                shard.samples += samples
+                    shard.samples += weight
 
     # ------------------------------------------------------------------
     # Read path (merge on read)

@@ -56,20 +56,15 @@ from typing import Dict, List, Optional
 from repro.errors import ServiceError
 from repro.service.batch import SampleBatch
 from repro.service.ingest import WorkerState
+from repro.service.metrics import MERGE_BUCKETS, accounted
 
 __all__ = ["ProcessWorkerPool", "WorkerSpec", "worker_paths"]
 
-#: Accounting buckets merged across processes (the conservation law's
-#: right-hand side, minus parent-owned ``submitted``/``dropped``).
-MERGE_BUCKETS = (
-    "aggregated",
-    "dead_lettered",
-    "epoch_mismatches",
-    "fallback_dropped",
-    "fallback_pending",
-    "decode_errors",
-    "recovered",
-)
+#: Ring slots per shared-memory lane (one lane per worker process).
+LANE_SLOTS = 64
+#: Bytes per lane slot; one DPSB record must fit (oversized batches are
+#: split, an unsplittable record is dropped and counted).
+LANE_SLOT_BYTES = 1 << 20
 
 
 def worker_paths(root: str, slot: int) -> Dict[str, str]:
@@ -251,13 +246,15 @@ def _worker_entry(spec: WorkerSpec, plan, lock) -> None:
             records += 1
             consumed += samples
             service.metrics.count("submitted", samples)
-            before = _accounted(service)
+            before = accounted(service.accounting())
             try:
                 batch = SampleBatch.from_bytes(payload)
                 service._handle_items([batch])
             except Exception as exc:  # noqa: BLE001 - account the loss
                 service.metrics.record_error(repr(exc))
-                shortfall = samples - (_accounted(service) - before)
+                shortfall = samples - (
+                    accounted(service.accounting()) - before
+                )
                 if shortfall > 0:
                     service.metrics.count("dead_lettered", shortfall)
             if spec.checkpoint_every and records % spec.checkpoint_every == 0:
@@ -280,18 +277,6 @@ def _worker_entry(spec: WorkerSpec, plan, lock) -> None:
         last_sync = lane.sync_req
         heavy_status()
         lane.detach()
-
-
-def _accounted(service) -> int:
-    """Samples the service has routed to a conservation bucket."""
-    snap = service.metrics.snapshot()
-    return (
-        snap["aggregated"]
-        + snap["dead_lettered"]
-        + snap["epoch_mismatches"]
-        + snap["fallback_retained"]
-        + snap["fallback_dropped"]
-    )
 
 
 # ----------------------------------------------------------------------
@@ -349,10 +334,7 @@ class ProcessWorkerPool:
             os.makedirs(paths["base"], exist_ok=True)
             os.makedirs(paths["checkpoints"], exist_ok=True)
             self._lanes.append(
-                ShmLane(
-                    config.lane_slots, config.lane_slot_bytes,
-                    lock=self._ctx.Lock(),
-                )
+                ShmLane(LANE_SLOTS, LANE_SLOT_BYTES, lock=self._ctx.Lock())
             )
             self._slots.append({
                 "paths": paths,
@@ -546,8 +528,7 @@ class ProcessWorkerPool:
         st["lane_base"]["consumed"] += old.consumed_samples + stranded
         st["lane_base"]["dropped"] += old.dropped
         self._lanes[slot] = self._lane_cls(
-            self._config.lane_slots, self._config.lane_slot_bytes,
-            lock=self._ctx.Lock(),
+            LANE_SLOTS, LANE_SLOT_BYTES, lock=self._ctx.Lock()
         )
         if self._closed:
             self._lanes[slot].close()

@@ -11,6 +11,7 @@ from repro.check.oracle import _collect_observations
 from repro.errors import CheckpointError, ServiceError
 from repro.resilience import ResilienceConfig
 from repro.resilience.chaos import ChaosConfig, ChaosInjector
+from repro.resilience.checkpoint import plan_fingerprint
 from repro.runtime.plan import build_plan_from_graph
 from repro.service import ContextService, ServiceConfig
 from repro.workloads.paperfigures import figure5_graph
@@ -134,6 +135,10 @@ class TestQuarantine:
         assert len(letters) == 1
         assert letters[0].attempts == 2
         assert letters[0].error_type == "RuntimeError"
+        # Exhausted transient retries are stamped with their plan like
+        # every other dead letter, so forensics can join them.
+        assert letters[0].fingerprint == plan_fingerprint(plan)
+        assert service.forensics()[0]["fingerprint_match"]
 
 
 class TestBreakerFallback:

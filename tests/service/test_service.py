@@ -252,37 +252,20 @@ class TestBatchFirstAPI:
 
 
 class TestDeprecationShims:
+    """The scalar API is the batch-vs-scalar oracle's reference path:
+    it routes through the batch decode path and warns no longer."""
+
     def test_old_positional_submit_still_works(self, plan):
         node, snap = walk_snapshot(plan, PATH_ACE)
         with ContextService(plan) as service:
-            with pytest.warns(DeprecationWarning, match="submit_batch"):
-                assert service.submit(node, snap)
+            assert service.submit(node, snap)
             service.flush()
             assert service.top_contexts(1) == [(1, ("main", "a", "c", "e"))]
 
-    def test_one_warning_per_call_site(self, plan):
-        import warnings as warnings_mod
-
+    def test_submit_many_and_sink_route_to_the_batch_path(self, plan):
         node, snap = walk_snapshot(plan, PATH_ACE)
         with ContextService(plan) as service:
-            with warnings_mod.catch_warnings(record=True) as caught:
-                warnings_mod.simplefilter("always")
-                for _ in range(5):
-                    service.submit(node, snap)  # one site, five calls
-                service.submit(node, snap)  # a second, distinct site
-            legacy = [
-                w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-                and "compatibility shim" in str(w.message)
-            ]
-            assert len(legacy) == 2
+            assert service.submit_many([(node, snap)]) == 1
+            service.sink()(node, snap)
             service.flush()
-            assert service.service_metrics()["aggregated"] == 6
-
-    def test_submit_many_and_sink_warn_too(self, plan):
-        node, snap = walk_snapshot(plan, PATH_ACE)
-        with ContextService(plan) as service:
-            with pytest.warns(DeprecationWarning, match="submit_batch"):
-                service.submit_many([(node, snap)])
-            with pytest.warns(DeprecationWarning, match="batch_sink"):
-                service.sink()
+            assert service.top_contexts(1) == [(2, ("main", "a", "c", "e"))]

@@ -146,8 +146,7 @@ class TestMultiprocessIngest:
         ).start()
         try:
             node, snap = snapshots["ace"]
-            with pytest.warns(DeprecationWarning):
-                assert service.submit(node, snap, plan=plan)
+            assert service.submit(node, snap, plan=plan)
             service.flush(timeout=30)
             assert service.accounting()["aggregated"] == 1
         finally:
